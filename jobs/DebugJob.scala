@@ -19,6 +19,7 @@ object DebugJob {
     val ds = Harness.dataset(spark, args.headOption.getOrElse("hospital"))
     val res = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
     res.steps.foreach { st =>
+      println(s"[debug] step=${st.issue} rows=${st.rows}")
       st.rewrites.foreach { rw =>
         val size = rw.rewrite match {
           case MapValues(m)  => s"map(${m.size})"
@@ -29,18 +30,12 @@ object DebugJob {
         println(s"[debug] step=${st.issue} col=${rw.column} $size")
       }
     }
-    // Wrong changes by column (on the Table-1 considered cells).
-    val d = Metrics.melt(ds.dirty, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "dv")
-    val c = Metrics.melt(ds.clean, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "cv")
-    val o = Metrics.melt(res.cleaned, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "ov")
-    val j = d.join(c, Seq("row_id", "column")).join(o, Seq("row_id", "column"))
-      .join(ds.labels, Seq("row_id", "column"), "left")
-      .filter(col("error_type").isNull || !col("error_type").isin("coltype", "dmv"))
-      .filter(!(col("ov") <=> col("dv")) && !(col("ov") <=> col("cv")))
-    j.groupBy("column", "error_type").agg(count(lit(1)).as("wrong"))
+    // Wrong changes by column, on the cells Table 1 scores.
+    val wrong = Metrics.cells(ds, res.cleaned, Metrics.table1Excluded).filter(Metrics.changed && !Metrics.correct)
+    wrong.groupBy("column", "error_type").agg(count(lit(1)).as("wrong"))
       .orderBy(desc("wrong")).collect()
       .foreach(r => println(s"[debug] wrong col=${r.get(0)} label=${r.get(1)} n=${r.get(2)}"))
-    j.select("column", "dv", "cv", "ov").limit(12).collect()
+    wrong.select("column", "dirty_v", "clean_v", "out_v").limit(12).collect()
       .foreach(r => println(s"[debug] ex col=${r.get(0)} dirty=${r.get(1)} clean=${r.get(2)} out=${r.get(3)}"))
     spark.stop()
   }

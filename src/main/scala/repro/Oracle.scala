@@ -2,6 +2,8 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, LongType}
+import repro.util.SqlGen.identAnsi
 import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
@@ -33,21 +35,34 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
+  /** Numeric columns keep their type, so both engines order them alike;
+    * everything else is compared as text.
+    */
+  private def duckType(t: DataType): String = t match {
+    case LongType | IntegerType => "BIGINT"
+    case DoubleType             => "DOUBLE"
+    case _                      => "VARCHAR"
+  }
+
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
+        val fields = df.schema.fields
+        val types  = fields.map(f => duckType(f.dataType))
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
+          s"CREATE TABLE ${identAnsi(name)} (${fields.zip(types).map { case (f, t) => s"${identAnsi(f.name)} $t" }.mkString(", ")})"
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
         val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
+          s"INSERT INTO ${identAnsi(name)} VALUES (${fields.map(_ => "?").mkString(",")})"
         )
         df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
+          types.indices.foreach { i =>
+            if (types(i) == "VARCHAR") ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull)
+            else ps.setObject(i + 1, r.get(i))
+          }
           ps.addBatch()
         }
         ps.executeBatch(); ps.close()

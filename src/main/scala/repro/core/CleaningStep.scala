@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.util.SqlGen
 
 /** How one column is rewritten by a cleaning step. All of Cocoon's cleaning
@@ -33,15 +33,25 @@ final case class FdRepair(cases: Seq[FdCase]) extends Rewrite
   */
 final case class ColumnRewrite(column: String, rewrite: Rewrite, reasoning: String)
 
-/** One stage of the pipeline: all rewrites for one issue type, applied as a
-  * single SELECT. `dropExactDuplicates` models §2.1.7's SELECT DISTINCT.
+/** Which rows a step keeps. */
+sealed trait RowAction
+
+/** Every row passes through. */
+case object KeepRows extends RowAction
+
+/** `SELECT DISTINCT` — erroneous exact duplicates (§2.1.7). */
+case object DropDuplicates extends RowAction
+
+/** One row per `key`, preferring the greatest `order` value (§2.1.8), with
+  * the LLM's reasoning as the step's comment.
   */
-final case class CleaningStep(
-    issue: String,
-    rewrites: Seq[ColumnRewrite],
-    dropExactDuplicates: Boolean = false,
-) {
-  def isNoop: Boolean = rewrites.isEmpty && !dropExactDuplicates
+final case class DedupeBy(key: String, order: String, reasoning: String) extends RowAction
+
+/** One stage of the pipeline: all rewrites for one issue type plus its row
+  * action, applied as a single SELECT.
+  */
+final case class CleaningStep(issue: String, rewrites: Seq[ColumnRewrite], rows: RowAction = KeepRows) {
+  def isNoop: Boolean = rewrites.isEmpty && rows == KeepRows
 }
 
 object CleaningStep {
@@ -67,6 +77,28 @@ object CleaningStep {
       }
   }
 
+  /** The step's projection: every column, rewritten ones as `expr AS col`. */
+  private def selectItems(step: CleaningStep, allColumns: Seq[String], quote: String => String): Seq[String] = {
+    val byCol = step.rewrites.map(r => r.column -> r.rewrite).toMap
+    allColumns.map(c => byCol.get(c).fold(quote(c))(rw => s"${renderExpr(c, rw, quote)} AS ${quote(c)}"))
+  }
+
+  /** `ROW_NUMBER()` over each key's rows, greatest `order` first. The other
+    * columns break ties, so the kept row does not depend on partitioning;
+    * null order is explicit because Spark and DuckDB default differently.
+    */
+  private def renderRowNumber(d: DedupeBy, allColumns: Seq[String], quote: String => String): String = {
+    val tiebreak = allColumns.filterNot(c => c == d.key || c == d.order).map(c => s"${quote(c)} ASC NULLS LAST")
+    val order    = (s"${quote(d.order)} DESC NULLS LAST" +: tiebreak).mkString(", ")
+    s"ROW_NUMBER() OVER (PARTITION BY ${quote(d.key)} ORDER BY $order)"
+  }
+
+  /** A row-number alias that no input column uses. */
+  private def rowNumberAlias(allColumns: Seq[String]): String = {
+    val taken = allColumns.map(_.toLowerCase).toSet
+    (Iterator("__rn") ++ Iterator.from(1).map(i => s"__rn$i")).find(a => !taken(a)).get
+  }
+
   /** Full SELECT for one step over `fromRelation`, with reasoning comments. */
   def renderSelect(
       step: CleaningStep,
@@ -74,34 +106,36 @@ object CleaningStep {
       fromRelation: String,
       quote: String => String,
   ): String = {
-    val byCol = step.rewrites.map(r => r.column -> r).toMap
-    val comments = step.rewrites
-      .map(r => SqlGen.comment(s"${r.column}: ${r.reasoning}"))
-      .mkString("\n")
-    val items = allColumns
-      .map { c =>
-        byCol.get(c) match {
-          case Some(r) => s"${renderExpr(c, r.rewrite, quote)} AS ${quote(c)}"
-          case None    => quote(c)
-        }
-      }
-      .mkString(",\n  ")
-    val distinct = if (step.dropExactDuplicates) "DISTINCT " else ""
-    val head     = if (comments.nonEmpty) comments + "\n" else ""
-    s"${head}SELECT $distinct$items\nFROM $fromRelation"
+    val reasons = step.rewrites.map(r => r.column -> r.reasoning) ++ (step.rows match {
+      case d: DedupeBy => Seq(d.key -> d.reasoning)
+      case _           => Nil
+    })
+    val head  = reasons.map { case (c, why) => SqlGen.comment(s"$c: $why") + "\n" }.mkString
+    val items = selectItems(step, allColumns, quote).mkString(",\n  ")
+    step.rows match {
+      case KeepRows       => s"${head}SELECT $items\nFROM $fromRelation"
+      case DropDuplicates => s"${head}SELECT DISTINCT $items\nFROM $fromRelation"
+      case d: DedupeBy =>
+        val rn = quote(rowNumberAlias(allColumns))
+        s"${head}SELECT $items\nFROM (\n  SELECT *, ${renderRowNumber(d, allColumns, quote)} AS $rn\n" +
+          s"  FROM $fromRelation\n)\nWHERE $rn = 1"
+    }
   }
 
-  private var viewCounter = 0
-
-  /** Apply one step by executing its generated SQL through Catalyst — the
-    * reproduction runs the very SQL text Cocoon emits, not a parallel
-    * DataFrame re-implementation of it.
+  /** Apply one step with `selectExpr` over the very expressions
+    * [[renderSelect]] emits — the reproduction runs the SQL text Cocoon
+    * prints, not a parallel DataFrame re-implementation of it.
     */
-  def apply(spark: SparkSession, df: DataFrame, step: CleaningStep): DataFrame = {
+  def apply(df: DataFrame, step: CleaningStep): DataFrame = {
     if (step.isNoop) return df
-    val view = synchronized { viewCounter += 1; s"cocoon_stage_$viewCounter" }
-    df.createOrReplaceTempView(view)
-    val sql = renderSelect(step, df.columns.toSeq, view, SqlGen.ident)
-    spark.sql(sql)
+    val cols  = df.columns.toSeq
+    val items = selectItems(step, cols, SqlGen.ident)
+    step.rows match {
+      case KeepRows       => df.selectExpr(items: _*)
+      case DropDuplicates => df.selectExpr(items: _*).distinct()
+      case d: DedupeBy =>
+        val rn = SqlGen.ident(rowNumberAlias(cols))
+        df.selectExpr("*", s"${renderRowNumber(d, cols, SqlGen.ident)} AS $rn").where(s"$rn = 1").selectExpr(items: _*)
+    }
   }
 }

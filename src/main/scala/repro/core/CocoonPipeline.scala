@@ -39,44 +39,41 @@ object CocoonPipeline {
       cfg: CocoonConfig = CocoonConfig(),
   ): CocoonResult = {
     val exclude = Set(cfg.keyCol)
-    var df      = input
-    var steps   = Vector.empty[CleaningStep]
-    var ctes    = Vector.empty[(String, String)] // (cteName, selectSql)
-    var rel     = "input"
-
-    def runStage(name: String, mk: DataFrame => Option[CleaningStep]): Unit =
-      mk(df).filterNot(_.isNoop).foreach { step =>
-        val sql = CleaningStep.renderSelect(step, df.columns.toSeq, rel, SqlGen.ident)
-        df = CleaningStep.apply(spark, df, step)
-        df = df.localCheckpoint(eager = true) // keep lineage flat across 8 stages
-        val cte = s"cleaned_${steps.size + 1}_${name.replace('-', '_')}"
-        ctes :+= (cte, sql)
-        rel = cte
-        steps :+= step
-      }
-
-    runStage("string-outliers", d => StringOutliers.step(d, llm, exclude, cfg.maxFrequentValues, cfg.valueBatchSize))
-    runStage("pattern-outliers", d => PatternOutliers.step(d, llm, exclude))
-    runStage("dmv", d => Dmv.step(d, llm, exclude))
-    runStage("column-type", d => ColumnType.step(d, llm, exclude))
-    runStage("numeric-outliers", d => NumericOutliers.step(d, llm, exclude))
-    runStage("functional-deps", d => FunctionalDeps.step(d, llm, exclude, cfg.minFdStrength))
-    runStage("duplication", d => Duplication.step(d, llm, cfg.tableDesc))
-
-    // §2.1.8 uniqueness dedupes rows via a window function, outside the
-    // column-rewrite model.
-    Uniqueness.plan(df, llm, exclude).foreach { p =>
-      df = Uniqueness.apply(spark, df, p)
-      ctes :+= (s"cleaned_${ctes.size + 1}_uniqueness", p.sql.replace("__input__", rel))
-      rel = ctes.last._1
+    val stages: Seq[DataFrame => Option[CleaningStep]] = Seq(
+      d => StringOutliers.step(d, llm, exclude, cfg.maxFrequentValues, cfg.valueBatchSize),
+      d => PatternOutliers.step(d, llm, exclude),
+      d => Dmv.step(d, llm, exclude),
+      d => ColumnType.step(d, llm, exclude),
+      d => NumericOutliers.step(d, llm, exclude),
+      d => FunctionalDeps.step(d, llm, exclude, cfg.minFdStrength),
+      d => Duplication.step(d, llm, cfg.tableDesc),
+      d => Uniqueness.step(d, llm, exclude),
+    )
+    var df    = input
+    var steps = Vector.empty[CleaningStep]
+    for (stage <- stages; step <- stage(df).filterNot(_.isNoop)) {
+      df = CleaningStep.apply(df, step).localCheckpoint(eager = true) // keep lineage flat across stages
+      steps :+= step
     }
-
-    val script =
-      if (ctes.isEmpty) "-- no data quality issues detected\nSELECT * FROM input"
-      else {
-        val body = ctes.map { case (n, s) => s"$n AS (\n$s\n)" }.mkString("WITH ", ",\n", "")
-        s"$body\nSELECT * FROM $rel"
-      }
-    CocoonResult(df, steps, script)
+    CocoonResult(df, steps, renderScript(steps, input.columns.toSeq, SqlGen.ident))
   }
+
+  /** CTE name part for each issue: the pipeline's short stage names. */
+  private val stageName = Map("disguised-missing-values" -> "dmv", "functional-dependencies" -> "functional_deps")
+
+  /** The whole cleaning script: one commented CTE per step over the relation
+    * `input` with columns `inputColumns`, in either identifier dialect
+    * ([[SqlGen.ident]] for Spark, [[SqlGen.identAnsi]] for DuckDB).
+    */
+  def renderScript(steps: Seq[CleaningStep], inputColumns: Seq[String], quote: String => String): String =
+    if (steps.isEmpty) "-- no data quality issues detected\nSELECT * FROM input"
+    else {
+      val names = steps.zipWithIndex.map { case (s, i) =>
+        s"cleaned_${i + 1}_${stageName.getOrElse(s.issue, s.issue.replace('-', '_'))}"
+      }
+      val ctes = steps.zip("input" +: names).zip(names).map { case ((step, from), name) =>
+        s"$name AS (\n${CleaningStep.renderSelect(step, inputColumns, from, quote)}\n)"
+      }
+      s"${ctes.mkString("WITH ", ",\n", "")}\nSELECT * FROM ${names.last}"
+    }
 }

@@ -11,8 +11,9 @@ import repro.profile.Profiler
   * value representations (and so are applied as rewrites): boolean-looking
   * text → canonical "True"/"False" (the paper casts "yes"/"no" to bool), and
   * uniform duration text → total minutes as DOUBLE. A pure numeric cast
-  * ("123" → 123) changes no surface value, so it is recorded in the emitted
-  * SQL artifact only (see [[CocoonPipeline]]'s script) and applies no rewrite.
+  * ("123" → 123) changes no surface value, so it is dropped: no rewrite is
+  * applied and no `CAST` is emitted, which keeps the output schema equal to
+  * the input's.
   */
 object ColumnType {
 
@@ -50,7 +51,7 @@ object ColumnType {
             Option.when(mapping.nonEmpty)(
               ColumnRewrite(c, MapValues(mapping), s"${sug.reasoning} Cast to ${sug.targetType}.")
             )
-          case _ => None // numeric-cast: representation-preserving, artifact-only
+          case _ => None // numeric-cast: representation-preserving, dropped
         }
       }
     }

@@ -16,6 +16,6 @@ object Duplication {
     val dups = Profiler.duplicateRowCount(df)
     if (dups == 0) None
     else if (llm.duplicationAcceptable(tableDesc, dups, df.count())) None
-    else Some(CleaningStep("duplication", Seq.empty, dropExactDuplicates = true))
+    else Some(CleaningStep("duplication", Seq.empty, DropDuplicates))
   }
 }

@@ -1,9 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
 import repro.profile.Profiler
-import repro.util.SqlGen
 
 /** §2.1.8 Column Uniqueness.
   *
@@ -15,9 +14,6 @@ import repro.util.SqlGen
   */
 object Uniqueness {
 
-  /** The dedupe plan for one near-unique key column. */
-  final case class Plan(keyCol: String, orderCol: String, sql: String)
-
   /** Columns an LLM would pick to prioritise records by, in preference order. */
   def pickOrderColumn(columns: Seq[String], keyCol: String): String = {
     val others = columns.filterNot(_ == keyCol)
@@ -26,28 +22,16 @@ object Uniqueness {
       .getOrElse(others.headOption.getOrElse(keyCol))
   }
 
-  def plan(df: DataFrame, llm: LLMClient, exclude: Set[String] = Set.empty): Option[Plan] = {
+  def step(df: DataFrame, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
     val cols = df.columns.toSeq.filterNot(exclude)
     cols
       .map(c => (c, Profiler.profileColumn(df, c, maxValues = 1).uniqueRatio))
       .find { case (c, ratio) => ratio < 1.0 && llm.shouldBeUnique(c, ratio) }
-      .map { case (key, _) =>
+      .map { case (key, ratio) =>
         val ord = pickOrderColumn(df.columns.toSeq, key)
-        val q   = SqlGen.ident _
-        val sql =
-          s"""SELECT ${df.columns.map(q).mkString(", ")} FROM (
-             |  SELECT *, ROW_NUMBER() OVER (PARTITION BY ${q(key)} ORDER BY ${q(ord)} DESC) AS __rn FROM __input__
-             |) WHERE __rn = 1""".stripMargin
-        Plan(key, ord, sql)
+        val why = f"'$key' should identify a record but only $ratio%.2f of its values are unique; " +
+          s"kept one row per key, preferring the greatest '$ord'."
+        CleaningStep("uniqueness", Seq.empty, DedupeBy(key, ord, why))
       }
-  }
-
-  private var viewCounter = 0
-
-  /** Apply the dedupe plan by executing its window-function SQL. */
-  def apply(spark: SparkSession, df: DataFrame, p: Plan): DataFrame = {
-    val view = synchronized { viewCounter += 1; s"cocoon_uniq_$viewCounter" }
-    df.createOrReplaceTempView(view)
-    spark.sql(p.sql.replace("__input__", view))
   }
 }

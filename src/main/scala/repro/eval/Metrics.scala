@@ -41,12 +41,11 @@ object Metrics {
     )
   }
 
-  def score(
-      ds: BenchDataset,
-      systemName: String,
-      output: DataFrame,
-      excludeTypes: Set[String],
-  ): Scores = {
+  /** One row per considered cell: `row_id`, `column`, `dirty_v`, `clean_v`,
+    * `out_v` and the cell's `error_type` label (null when the cell is clean).
+    * Cells whose label is in `excludeTypes` are dropped.
+    */
+  def cells(ds: BenchDataset, output: DataFrame, excludeTypes: Set[String]): DataFrame = {
     val d = melt(ds.dirty, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "dirty_v")
     val c = melt(ds.clean, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "clean_v")
     val o = melt(output, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "out_v")
@@ -54,16 +53,22 @@ object Metrics {
       .join(c, Seq("row_id", "column"))
       .join(o, Seq("row_id", "column"))
       .join(ds.labels, Seq("row_id", "column"), "left")
+    if (excludeTypes.isEmpty) joined
+    else joined.filter(F.col("error_type").isNull || !F.col("error_type").isin(excludeTypes.toSeq: _*))
+  }
 
-    val considered =
-      if (excludeTypes.isEmpty) joined
-      else joined.filter(F.col("error_type").isNull || !F.col("error_type").isin(excludeTypes.toSeq: _*))
+  /** Over [[cells]]: the system changed the cell, and the change is correct. */
+  val changed = !(F.col("out_v") <=> F.col("dirty_v"))
+  val correct = F.col("out_v") <=> F.col("clean_v")
 
-    val changed = !(F.col("out_v") <=> F.col("dirty_v"))
-    val correct = F.col("out_v") <=> F.col("clean_v")
+  def score(
+      ds: BenchDataset,
+      systemName: String,
+      output: DataFrame,
+      excludeTypes: Set[String],
+  ): Scores = {
     val isError = F.col("error_type").isNotNull
-
-    val agg = considered
+    val agg = cells(ds, output, excludeTypes)
       .agg(
         F.sum(F.when(changed, 1L).otherwise(0L)).as("changed"),
         F.sum(F.when(changed && correct, 1L).otherwise(0L)).as("correctChanged"),

@@ -80,21 +80,6 @@ object Profiler {
     )
   }
 
-  /** Fraction of non-null values matching a regex (for pattern-outlier
-    * verification, §2.1.2: "verify them with SQL").
-    */
-  def regexMatchRate(df: DataFrame, col: String, pattern: String): Double = {
-    val c = F.col(col).cast("string")
-    val r = df
-      .filter(c.isNotNull)
-      .agg(
-        F.count(F.lit(1)).as("n"),
-        F.sum(F.when(c.rlike(pattern), 1L).otherwise(0L)).as("m"),
-      )
-      .collect()(0)
-    if (r.getLong(0) == 0) 0.0 else r.getLong(1).toDouble / r.getLong(0)
-  }
-
   /** Number of fully duplicated rows beyond the first occurrence (§2.1.7). */
   def duplicateRowCount(df: DataFrame): Long = {
     val total    = df.count()
@@ -102,32 +87,11 @@ object Profiler {
     total - distinct
   }
 
-  /** Score all ordered single-attribute column pairs as FD candidates
-    * (§2.1.6, after Baran: single attribute on both sides). Strength is the
-    * fraction of rows whose lhs-group has a single rhs value — 1.0 means the
-    * FD holds exactly; `violatingGroups` counts lhs groups with >1 rhs.
-    * Pairs where the lhs is (near-)unique are skipped: a key trivially
-    * determines everything and carries no cleaning signal.
-    */
-  def fdCandidates(df: DataFrame, cols: Seq[String], minStrength: Double = 0.9): Seq[FdCandidate] = {
-    val rows = df.count()
-    if (rows == 0) return Seq.empty
-    val profiles = cols.map(c => c -> df.agg(F.countDistinct(F.col(c))).collect()(0).getLong(0)).toMap
-    for {
-      lhs <- cols
-      rhs <- cols
-      if lhs != rhs
-      if profiles(lhs) > 1 && profiles(lhs) < rows * 0.9 // lhs not constant, not a key
-      cand = scoreFd(df, lhs, rhs)
-      if cand.strength >= minStrength && cand.strength < 1.0 + 1e-9
-      if cand.violatingGroups > 0 // only violated FDs need cleaning
-    } yield cand
-  }
-
-  /** Strength of one lhs → rhs candidate (see [[fdCandidates]]): the share
-    * of rows agreeing with their group's plurality rhs value — 1.0 means the
-    * FD holds exactly, and a few corrupted cells per group only dent it
-    * proportionally (an entropy-style measure, after [Beskales et al.]).
+  /** Strength of one single-attribute lhs → rhs candidate (§2.1.6, after
+    * Baran): the share of rows agreeing with their group's plurality rhs
+    * value — 1.0 means the FD holds exactly, and a few corrupted cells per
+    * group only dent it proportionally (an entropy-style measure, after
+    * [Beskales et al.]). `violatingGroups` counts lhs groups with >1 rhs.
     */
   def scoreFd(df: DataFrame, lhs: String, rhs: String): FdCandidate = {
     val pairs = df

@@ -26,12 +26,6 @@ class BaselinesSpec extends SparkSpec {
     assert(f.values.sum == 1000 && f("AL") > 200)
   }
 
-  test("LocalTable.fdStrength is plurality agreement") {
-    val t = LocalTable.collect(hospital)
-    val s = LocalTable.fdStrength(t, "provider_id", "city")
-    assert(s > 0.8 && s < 1.0)
-  }
-
   // ---- HoloClean
 
   test("HoloClean repairs constraint violations to the group majority") {

@@ -32,20 +32,20 @@ class CleaningStepSpec extends SparkSpec {
 
   test("apply executes the generated SQL and rewrites values") {
     val step = CleaningStep("s", Seq(ColumnRewrite("lang", MapValues(Seq("English" -> "eng", "French" -> "fre")), "r")))
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     val langs = out.select("lang").as[String].collect().toSet
     assert(langs == Set("eng", "fre"))
   }
 
   test("apply MapToNull nulls DMV tokens") {
     val step = CleaningStep("dmv", Seq(ColumnRewrite("score", MapToNull(Seq("N/A")), "r")))
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     assert(out.filter("score IS NULL").count() == 1)
   }
 
   test("apply RangeClamp nulls out-of-range values") {
     val step = CleaningStep("num", Seq(ColumnRewrite("score", RangeClamp(None, Some(50)), "r")))
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     // "99" clamped to NULL; "N/A" is not numeric, TRY_CAST yields NULL which
     // fails the predicate, so the token survives for the DMV stage.
     assert(out.filter("score IS NULL").count() == 1)
@@ -53,27 +53,29 @@ class CleaningStepSpec extends SparkSpec {
   }
 
   test("apply on a noop step returns the input unchanged") {
-    val out = CleaningStep.apply(spark, df, CleaningStep("noop", Seq.empty))
+    val out = CleaningStep.apply(df, CleaningStep("noop", Seq.empty))
     assert(out eq df)
   }
 
   test("dropExactDuplicates dedupes rows") {
     val dup = Seq(("a", "1"), ("a", "1"), ("b", "2")).toDF("x", "y")
-    val out = CleaningStep.apply(spark, dup, CleaningStep("dup", Seq.empty, dropExactDuplicates = true))
+    val out = CleaningStep.apply(dup, CleaningStep("dup", Seq.empty, DropDuplicates))
     assert(out.count() == 2)
   }
 
   test("generated SQL is portable: Spark and DuckDB agree on a MapValues step") {
     val step = CleaningStep("s", Seq(ColumnRewrite("lang", MapValues(Seq("English" -> "eng", "French" -> "fre")), "r")))
-    val sparkOut = CleaningStep.apply(spark, df, step)
+    val sparkOut = CleaningStep.apply(df, step)
     val duckSql = CleaningStep.renderSelect(step, Seq("row_id", "lang", "score"), "input", SqlGen.identAnsi)
     Oracle.assertEquivalent(sparkOut, duckSql, "input" -> df)
+    // ...and the oracle rejects a result the SQL does not produce.
+    intercept[IllegalArgumentException](Oracle.assertEquivalent(df, duckSql, "input" -> df))
   }
 
   test("generated SQL is portable: FdRepair step") {
     val fdf = Seq((1L, "z1", "Boston"), (2L, "z1", "Dothan"), (3L, "z2", "Reno")).toDF("row_id", "zip", "city")
     val step = CleaningStep("fd", Seq(ColumnRewrite("city", FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan"))), "r")))
-    val sparkOut = CleaningStep.apply(spark, fdf, step)
+    val sparkOut = CleaningStep.apply(fdf, step)
     val duckSql = CleaningStep.renderSelect(step, Seq("row_id", "zip", "city"), "input", SqlGen.identAnsi)
     Oracle.assertEquivalent(sparkOut, duckSql, "input" -> fdf)
     assert(sparkOut.filter("city = 'Boston'").count() == 0)
@@ -83,7 +85,7 @@ class CleaningStepSpec extends SparkSpec {
     val step = CleaningStep("x", Seq(
       ColumnRewrite("score", MapToNull(Seq("N/A")), "dmv"),
     ))
-    val sparkOut = CleaningStep.apply(spark, df, step)
+    val sparkOut = CleaningStep.apply(df, step)
     val duckSql = CleaningStep.renderSelect(step, Seq("row_id", "lang", "score"), "input", SqlGen.identAnsi)
     Oracle.assertEquivalent(sparkOut, duckSql, "input" -> df)
   }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.llm.SimulatedLLM
 
@@ -7,6 +8,13 @@ class CocoonPipelineSpec extends SparkSpec {
   import spark.implicits._
 
   private val llm = new SimulatedLLM()
+
+  /** Runs the pipeline and checks that its script replays to `cleaned`. */
+  private def run(df: DataFrame, cfg: CocoonConfig = CocoonConfig()): CocoonResult = {
+    val res = CocoonPipeline.run(spark, df, llm, cfg)
+    ScriptReplay.assertReplays(spark, df, res)
+    res
+  }
 
   /** A small table exercising the §2.1 ordering argument: typos must be
     * fixed before patterns, patterns before casts.
@@ -18,26 +26,26 @@ class CocoonPipelineSpec extends SparkSpec {
   }
 
   test("pipeline composes stages in the paper's order") {
-    val res = CocoonPipeline.run(spark, datesDf, llm)
+    val res = run(datesDf)
     val issues = res.steps.map(_.issue)
     assert(issues == issues.sortBy(Seq(
       "string-outliers", "pattern-outliers", "disguised-missing-values", "column-type",
-      "numeric-outliers", "functional-dependencies", "duplication").indexOf))
+      "numeric-outliers", "functional-dependencies", "duplication", "uniqueness").indexOf))
   }
 
   test("duration column flows pattern standardisation → minutes cast") {
-    val res = CocoonPipeline.run(spark, datesDf, llm)
+    val res = run(datesDf)
     assert(res.cleaned.filter("duration = '100.0'").count() == 35)
     assert(res.cleaned.filter("duration = '90.0'").count() == 1)
   }
 
   test("key column is never rewritten") {
-    val res = CocoonPipeline.run(spark, datesDf, llm)
+    val res = run(datesDf)
     assert(res.cleaned.select("row_id").as[Long].collect().sorted.toSeq == (0L until 36L))
   }
 
   test("emitted script is a commented WITH-chain over the executed stages") {
-    val res = CocoonPipeline.run(spark, datesDf, llm)
+    val res = run(datesDf)
     assert(res.script.startsWith("WITH "))
     assert(res.script.contains("pattern_outliers") && res.script.contains("column_type"))
     assert(res.script.contains("--")) // NL reasoning comments, Figure 5 style
@@ -45,7 +53,7 @@ class CocoonPipelineSpec extends SparkSpec {
 
   test("clean input produces no steps and an identity script") {
     val df = Seq((1L, "Boston"), (2L, "Denver")).toDF("row_id", "city")
-    val res = CocoonPipeline.run(spark, df, llm)
+    val res = run(df)
     assert(res.steps.isEmpty && res.script.contains("no data quality issues"))
     assert(res.cleaned.collect().toSet == df.collect().toSet)
   }
@@ -58,7 +66,7 @@ class CocoonPipelineSpec extends SparkSpec {
       Seq((19L, "1000x", "Dothan")) ++
       (20 until 30).map(i => (i.toLong, "20007", "Boston")) // ≥2 edits from "1000x": typo target stays unique
     val df = rows.toDF("row_id", "provider_id", "city")
-    val res = CocoonPipeline.run(spark, df, llm)
+    val res = run(df)
     assert(res.cleaned.filter("provider_id = '10001'").count() == 20)
     assert(res.cleaned.filter("city = 'WrongCity'").count() == 0)
   }
@@ -66,19 +74,19 @@ class CocoonPipelineSpec extends SparkSpec {
   test("DMV cleaned before numeric outlier profiling") {
     val rows = (0 until 30).map(i => (i.toLong, if (i < 3) "N/A" else "45")) :+ ((30L, "999"))
     val df = rows.toDF("row_id", "age")
-    val res = CocoonPipeline.run(spark, df, llm)
+    val res = run(df)
     // N/A → NULL (dmv stage), then 999 clamps under the age range.
     assert(res.cleaned.filter("age IS NULL").count() == 4)
   }
 
   test("pipeline output schema equals input schema") {
-    val res = CocoonPipeline.run(spark, datesDf, llm)
+    val res = run(datesDf)
     assert(res.cleaned.columns.toSeq == datesDf.columns.toSeq)
   }
 
   test("duplication stage drops exact duplicates in keyless tables") {
     val df = (Seq.fill(3)(("a", "1")) ++ Seq(("b", "2"))).toDF("x", "y")
-    val res = CocoonPipeline.run(spark, df, llm, CocoonConfig(keyCol = "none", tableDesc = "customers"))
+    val res = run(df, CocoonConfig(keyCol = "none", tableDesc = "customers"))
     assert(res.cleaned.count() == 2)
     assert(res.steps.exists(_.issue == "duplication"))
   }
@@ -88,8 +96,18 @@ class CocoonPipelineSpec extends SparkSpec {
     val rows = (0 until 19).map(i => (i.toLong, s"k$i", s"2020-01-${10 + i}")) :+
       ((19L, "k0", "2021-06-01"))
     val df = rows.toDF("row_id", "customer_id", "updated_at")
-    val res = CocoonPipeline.run(spark, df, llm, CocoonConfig(keyCol = "row_id", tableDesc = "customers"))
+    val res = run(df, CocoonConfig(keyCol = "row_id", tableDesc = "customers"))
     assert(res.cleaned.count() == 19)
     assert(res.cleaned.filter("customer_id = 'k0'").select("updated_at").collect().head.getString(0) == "2021-06-01")
+    assert(res.steps.map(_.issue) == Seq("uniqueness") && res.script.contains("cleaned_1_uniqueness"))
+  }
+
+  test("uniqueness breaks order ties on the remaining columns, alike on Spark and DuckDB") {
+    // k9 sits at row_id 9 and 10 with equal updated_at: the numeric row_id
+    // decides, where comparing it as text ("10" < "9") would keep row 10.
+    val rows = (0 until 20).map(i => (i.toLong, s"k${if (i == 10) 9 else i}", "2020-01-01"))
+    val df = rows.toDF("row_id", "customer_id", "updated_at")
+    val res = run(df, CocoonConfig(keyCol = "row_id", tableDesc = "customers"))
+    assert(res.cleaned.select("row_id").as[Long].collect().toSet == (0L until 20L).toSet - 10L)
   }
 }

@@ -19,7 +19,7 @@ class FunctionalDepsSpec extends SparkSpec {
 
   test("repairs a confident violating group to the majority value") {
     val df = providerDf(corrupt = 3)
-    val out = CleaningStep.apply(spark, df, FunctionalDeps.step(df, llm).get)
+    val out = CleaningStep.apply(df, FunctionalDeps.step(df, llm).get)
     assert(out.filter("city = 'Reno'").count() == 0)
     assert(out.filter("provider_id = '10001' AND city = 'Dothan'").count() == 20)
   }
@@ -28,7 +28,7 @@ class FunctionalDepsSpec extends SparkSpec {
     // 10 of 20 corrupted → majority share 0.5 < 0.6 → left alone.
     val df = providerDf(corrupt = 10)
     val step = FunctionalDeps.step(df, llm)
-    assert(step.isEmpty || CleaningStep.apply(spark, df, step.get).filter("city = 'Reno'").count() == 10)
+    assert(step.isEmpty || CleaningStep.apply(df, step.get).filter("city = 'Reno'").count() == 10)
   }
 
   test("semantically meaningless FDs are rejected even when statistically strong") {
@@ -48,6 +48,13 @@ class FunctionalDepsSpec extends SparkSpec {
     assert(FunctionalDeps.step(df, llm).isEmpty)
   }
 
+  test("constant lhs columns are skipped") {
+    // provider → city would repair the one "Reno" if a constant lhs counted.
+    val rows = (0 until 20).map(i => ("10001", if (i == 0) "Reno" else "Dothan"))
+    val df = rows.toDF("provider_id", "city")
+    assert(FunctionalDeps.step(df, llm).isEmpty)
+  }
+
   test("multiple FDs on the same rhs merge into one rewrite") {
     val rows = (0 until 40).map { i =>
       val p = if (i < 20) "10001" else "10004"
@@ -58,7 +65,7 @@ class FunctionalDepsSpec extends SparkSpec {
     val df = rows.toDF("provider_id", "zip", "city")
     val step = FunctionalDeps.step(df, llm).get
     assert(step.rewrites.size == 1 && step.rewrites.head.column == "city")
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     assert(out.filter("city = 'Reno'").count() == 0)
   }
 

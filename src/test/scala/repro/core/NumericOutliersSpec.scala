@@ -10,7 +10,7 @@ class NumericOutliersSpec extends SparkSpec {
 
   test("clamps semantically impossible values to NULL") {
     val df = (Seq.fill(20)("45") ++ Seq("999", "-3")).toDF("age")
-    val out = CleaningStep.apply(spark, df, NumericOutliers.step(df, llm).get)
+    val out = CleaningStep.apply(df, NumericOutliers.step(df, llm).get)
     assert(out.filter("age IS NULL").count() == 2)
     assert(out.filter("age = '45'").count() == 20)
   }

@@ -11,7 +11,7 @@ class StringOutliersSpec extends SparkSpec {
   test("fixes a frequency-grounded typo via CASE WHEN") {
     val df = (Seq.fill(20)("Birmingham") ++ Seq("Birmxngham")).toDF("city")
     val step = StringOutliers.step(df, llm).get
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     assert(out.filter("city = 'Birmxngham'").count() == 0)
     assert(out.filter("city = 'Birmingham'").count() == 21)
   }
@@ -19,7 +19,7 @@ class StringOutliersSpec extends SparkSpec {
   test("fixes language representation inconsistency to the dominant form") {
     val df = (Seq.fill(40)("eng") ++ Seq.fill(5)("English") ++ Seq.fill(20)("fre") ++ Seq.fill(3)("French"))
       .toDF("article_language")
-    val out = CleaningStep.apply(spark, df, StringOutliers.step(df, llm).get)
+    val out = CleaningStep.apply(df, StringOutliers.step(df, llm).get)
     assert(out.filter("article_language IN ('English','French')").count() == 0)
     assert(out.filter("article_language = 'eng'").count() == 45)
   }
@@ -38,14 +38,14 @@ class StringOutliersSpec extends SparkSpec {
   test("dictionary typos in unique text values are fixed") {
     val titles = Seq("Effects of tretment on stroke", "Risk factors for diabetes")
     val df = titles.toDF("title")
-    val out = CleaningStep.apply(spark, df, StringOutliers.step(df, llm).get)
+    val out = CleaningStep.apply(df, StringOutliers.step(df, llm).get)
     assert(out.filter("title = 'Effects of treatment on stroke'").count() == 1)
   }
 
   test("batching still covers all distinct values") {
     val df = ((1 to 30).map(i => s"value_number_$i") ++ Seq.fill(20)("Birmingham") ++ Seq("Birmxngham")).toDF("c")
     val step = StringOutliers.step(df, llm, batchSize = 7).get
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     assert(out.filter("c = 'Birmxngham'").count() == 0)
   }
 

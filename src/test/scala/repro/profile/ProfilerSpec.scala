@@ -44,12 +44,6 @@ class ProfilerSpec extends SparkSpec {
     assert(math.abs(p.uniqueRatio - 2.0 / 7) < 1e-9)
   }
 
-  test("regexMatchRate verifies a pattern with SQL") {
-    val r = Profiler.regexMatchRate(df, "v", "^\\d$")
-    assert(r == 1.0)
-    assert(Profiler.regexMatchRate(df, "k", "^a$") == 0.5)
-  }
-
   test("duplicateRowCount counts beyond-first duplicates") {
     val d = Seq(("a", 1), ("a", 1), ("a", 1), ("b", 2)).toDF("x", "y")
     assert(Profiler.duplicateRowCount(d) == 2)
@@ -67,20 +61,6 @@ class ProfilerSpec extends SparkSpec {
     val d = Seq(("a", "1"), ("a", "1"), ("a", "1"), ("a", "9"), ("b", "2"), ("b", "2")).toDF("l", "r")
     val fd = Profiler.scoreFd(d, "l", "r")
     assert(math.abs(fd.strength - 5.0 / 6) < 1e-9 && fd.violatingGroups == 1)
-  }
-
-  test("fdCandidates skips key-like lhs and constant lhs") {
-    val d = Seq(("k1", "a", "1"), ("k2", "a", "2"), ("k3", "a", "2"), ("k4", "a", "1"))
-      .toDF("key", "const", "r")
-    val cands = Profiler.fdCandidates(d, Seq("key", "const", "r"), 0.1)
-    assert(!cands.exists(c => c.lhs == "key" || c.lhs == "const"))
-  }
-
-  test("fdCandidates finds a violated strong FD") {
-    val rows = Seq.fill(9)(("a", "1")) ++ Seq(("a", "2")) ++ Seq.fill(10)(("b", "3"))
-    val d = rows.toDF("l", "r")
-    val cands = Profiler.fdCandidates(d, Seq("l", "r"), 0.9)
-    assert(cands.exists(c => c.lhs == "l" && c.rhs == "r" && c.violatingGroups == 1))
   }
 
   test("fdViolatingGroups lists per-group rhs values most-frequent first") {
