@@ -47,7 +47,8 @@ object Harness {
   ): Scores = {
     val out = system.clean(spark, ds).cache()
     try Metrics.score(ds, system.name, out, excludeTypes)
-    finally out.unpersist()
+    // Blocking, so the cached blocks are gone when evaluate returns.
+    finally out.unpersist(blocking = true)
   }
 
   /** Format a Table-1-style block: systems × datasets, P/R/F columns. */

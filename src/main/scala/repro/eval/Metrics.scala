@@ -44,15 +44,20 @@ object Metrics {
   /** One row per considered cell: `row_id`, `column`, `dirty_v`, `clean_v`,
     * `out_v` and the cell's `error_type` label (null when the cell is clean).
     * Cells whose label is in `excludeTypes` are dropped.
+    *
+    * The joins are shuffled hash joins. A broadcast join would leave its hash
+    * relation in the driver's block manager until some later GC let Spark's
+    * cleaner drop it, so the driver's retained memory would depend on GC timing.
     */
   def cells(ds: BenchDataset, output: DataFrame, excludeTypes: Set[String]): DataFrame = {
+    def shuffleHash(df: DataFrame) = df.hint("shuffle_hash")
     val d = melt(ds.dirty, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "dirty_v")
     val c = melt(ds.clean, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "clean_v")
     val o = melt(output, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "out_v")
     val joined = d
-      .join(c, Seq("row_id", "column"))
-      .join(o, Seq("row_id", "column"))
-      .join(ds.labels, Seq("row_id", "column"), "left")
+      .join(shuffleHash(c), Seq("row_id", "column"))
+      .join(shuffleHash(o), Seq("row_id", "column"))
+      .join(shuffleHash(ds.labels), Seq("row_id", "column"), "left")
     if (excludeTypes.isEmpty) joined
     else joined.filter(F.col("error_type").isNull || !F.col("error_type").isin(excludeTypes.toSeq: _*))
   }

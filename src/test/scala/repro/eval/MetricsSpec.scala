@@ -79,6 +79,16 @@ class MetricsSpec extends SparkSpec {
     assert(math.abs(s.f1 - 2 * 0.5 * 1.0 / 1.5) < 1e-9)
   }
 
+  test("scoring broadcasts nothing, even where broadcast joins are on") {
+    val s = spark.newSession()
+    s.conf.set("spark.sql.autoBroadcastJoinThreshold", "10MB")
+    def in(df: org.apache.spark.sql.DataFrame) = s.createDataFrame(df.rdd, df.schema)
+    val toy = ds.copy(dirty = in(ds.dirty), clean = in(ds.clean), labels = in(ds.labels))
+    val cells = Metrics.cells(toy, toy.dirty, Set.empty)
+    assert(cells.collect().length == 6)
+    assert(!cells.queryExecution.executedPlan.toString.contains("Broadcast"))
+  }
+
   test("melt produces one row per (row, column)") {
     val m = Metrics.melt(ds.dirty, "row_id", cols)
     assert(m.count() == 6)
